@@ -20,9 +20,9 @@ A fourth, profiled attribution run (small ping-pong) populates the
 re-proves the profiler invariant: a profiled run is bit-identical (in
 simulated terms) to an unprofiled one.
 
-Writes ``BENCH_simcore.json`` (checked into the repo root); CI's
-bench-simcore job regenerates it, validates the schema via
-``validate_bench_doc``, and archives the artifact.
+Writes ``BENCH_simcore.json`` to the working directory (git-ignored,
+not checked in); CI's bench-simcore job regenerates it, validates the
+schema via ``validate_bench_doc``, and archives the artifact.
 """
 
 import json

@@ -287,6 +287,10 @@ class PciePool:
             for item in wired:
                 if isinstance(item, RpcEndpoint):
                     item.close()
+        # A stopped pod outlives its run wherever a caller keeps a
+        # reference; its route memos are pure cache, so they go.
+        for memsys in self.pod.hosts.values():
+            memsys.drop_route_cache()
         self._started = False
 
     # -- handles --------------------------------------------------------------------

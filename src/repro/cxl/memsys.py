@@ -64,11 +64,15 @@ class HostMemorySystem:
         self.stores_dropped = 0
         # Route memoization: the pool address map is static (interleave
         # stripes and RAS windows never move, and MHD/link/media objects
-        # survive fail/repair), so line -> (mhd, media, dev_addr, link) is
-        # a pure function worth caching — pollers hit the same line every
-        # few tens of ns.  Liveness is still checked per access.
+        # survive fail/repair), so it is a pure function worth caching —
+        # pollers hit the same line every few tens of ns.  Each
+        # interleave granule maps linearly onto one device (stripes and
+        # RAS windows are whole granules), so one entry per granule,
+        # (mhd, media, dev_addr - addr, link), serves all its lines.
+        # Liveness is still checked per access.
         self._pool_base = pod.pool_range.base
         self._pool_top = pod.pool_range.base + pod.pool_range.size
+        self._route_gran = pod.config.interleave_bytes
         self._route_cache: dict[int, tuple] = {}
 
     def alloc_local(self, size: int, label: str = "") -> int:
@@ -96,35 +100,42 @@ class HostMemorySystem:
         return self._pool_base <= addr < self._pool_top
 
     def _route_cached(self, addr: int) -> tuple:
-        """Memoized route of a pool address: (mhd, media, dev_addr, link)."""
-        entry = self._route_cache.get(addr)
+        """Memoized route of a pool address's granule:
+        (mhd, media, device address minus pool address, link)."""
+        base = addr - (addr - self._pool_base) % self._route_gran
+        entry = self._route_cache.get(base)
         if entry is None:
-            idx, media, dev = self.pod.route(addr)
-            entry = (self.pod.mhds[idx], media, dev, self.port.links[idx])
+            idx, media, dev = self.pod.route(base)
+            entry = (self.pod.mhds[idx], media, dev - base,
+                     self.port.links[idx])
             cache = self._route_cache
             if len(cache) >= 65536:
                 # Bulk sweeps over huge buffers must not pin memory.
                 cache.clear()
-            cache[addr] = entry
+            cache[base] = entry
         return entry
+
+    def drop_route_cache(self) -> None:
+        """Forget memoized routes; they refill on demand."""
+        self._route_cache.clear()
 
     def _link_for(self, addr: int):
         return self._route_cached(addr)[3]
 
     def _medium_read_line(self, addr: int) -> bytes:
         if self._pool_base <= addr < self._pool_top:
-            mhd, media, dev, _link = self._route_cached(addr)
+            mhd, media, shift, _link = self._route_cached(addr)
             if mhd.failed:
                 raise MhdFailedError(mhd)
-            return media.read_line(dev)
+            return media.read_line(addr + shift)
         return self.port.local_dram.read_line(addr)
 
     def _medium_write_line(self, addr: int, data: bytes) -> None:
         if self._pool_base <= addr < self._pool_top:
-            mhd, media, dev, _link = self._route_cached(addr)
+            mhd, media, shift, _link = self._route_cached(addr)
             if mhd.failed:
                 raise MhdFailedError(mhd)
-            media.write_line(dev, data)
+            media.write_line(addr + shift, data)
         else:
             self.port.local_dram.write_line(addr, data)
 

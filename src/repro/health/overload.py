@@ -202,6 +202,8 @@ class AimdWindow:
         self.increases = 0
         self.decreases = 0
         self.paced_waits = 0
+        #: Events of paced-out callers parked in :meth:`wait_for_slot`.
+        self._waiters: list = []
         self._last_decrease_ns = float("-inf")
         _obs.METRICS.counter(_names.OVERLOAD_PACING_WAITS)
         self._gauge = _obs.METRICS.gauge(_names.OVERLOAD_PACING_WINDOW)
@@ -215,15 +217,45 @@ class AimdWindow:
 
     def release(self) -> None:
         self.inflight = max(0, self.inflight - 1)
+        self._wake()
 
     def wait_for_slot(self, sim, poll_ns: float = 2_000.0):
-        """Process: pace until the window admits one more in-flight op."""
+        """Process: pace until the window admits one more in-flight op.
+
+        A paced-out caller parks until a release or window growth makes
+        room, then re-checks on its own ``poll_ns`` grid (``start +
+        k * poll_ns``, k >= 1): admission lands on the same grid point a
+        re-check every ``poll_ns`` would, without the per-point wakes.
+        A wake that lands exactly on a grid point counts that point as
+        already checked, so the waiter re-checks at the next one.
+        """
         if self.can_submit():
             return
         self.paced_waits += 1
         _obs.METRICS.counter(_names.OVERLOAD_PACING_WAITS).inc()
-        while not self.can_submit():
-            yield sim.timeout(poll_ns)
+        due = sim.now
+        while True:
+            parked = sim.event()
+            self._waiters.append(parked)
+            yield parked
+            now = sim.now
+            while due <= now:
+                due += poll_ns
+            # Exact (Sterbenz) once now >= poll_ns: wakes land on ``due``.
+            yield sim.timeout(due - now)
+            if self.can_submit():
+                return
+
+    def _wake(self) -> None:
+        """Broadcast to every parked waiter once the window has room.
+
+        Waiters interrupted while parked leave their event behind;
+        succeeding it wakes nobody and costs one empty event.
+        """
+        if self._waiters and self.inflight < self.window:
+            waiters, self._waiters = self._waiters, []
+            for parked in waiters:
+                parked.succeed()
 
     def on_ack(self, occupancy_permille: int, now: float) -> None:
         """Fold one completion's piggybacked occupancy into the window."""
@@ -234,6 +266,7 @@ class AimdWindow:
                 self.window = min(self.hi, self.window + self.increase)
                 self.increases += 1
                 self._gauge.set(self.window)
+                self._wake()
 
     def on_busy(self, now: float) -> None:
         """A busy nack: hard pressure, decrease (cooldown still applies)."""

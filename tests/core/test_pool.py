@@ -158,3 +158,27 @@ def test_orchestrator_telemetry_flows_through_agents(pool):
     board = pool.orchestrator.board
     assert board.last_heartbeat("h0") is not None
     assert board.get(1).last_report_ns > 0
+
+
+def test_stop_drops_route_memos_and_pool_memory_still_reads_back():
+    """Route memos are pure cache: a stopped pool pins none, and pool
+    memory reads back the same through a refilled memo."""
+    sim = Simulator(seed=5)
+    pool = PciePool(sim, n_hosts=2)
+    mem = pool.pod.host("h0")
+    addr = pool.pod.pool_range.base + 4096
+    payload = bytes(i % 251 for i in range(4096))
+
+    def write():
+        yield from mem.write_bulk(addr, payload, nt=True)
+
+    def read():
+        return (yield from mem.read_bulk(addr, len(payload), uncached=True))
+
+    sim.run(until=sim.spawn(write()))
+    sim.run(until=sim.timeout(10_000.0))
+    assert mem._route_cache
+    pool.stop()
+    assert not any(m._route_cache for m in pool.pod.hosts.values())
+    assert sim.run(until=sim.spawn(read())) == payload
+    sim.run()

@@ -260,3 +260,25 @@ def test_local_dram_dma_roundtrip(pod):
         return data
 
     assert run(sim, proc(h0)) == payload
+
+
+def test_granule_route_memo_agrees_with_the_pod_map():
+    """One memo entry per interleave granule must route every line of it
+    exactly as ``CxlPod.route`` does, in the striped region and across
+    the RAS windows, including lines looked up after a granule's first."""
+    sim = Simulator()
+    pod = CxlPod(sim, PodConfig(n_hosts=2, n_mhds=3, mhd_capacity=384 << 12,
+                                interleave_bytes=384,
+                                ras_bytes_per_mhd=384 * 64))
+    mem = pod.host("h0")
+    top = pod.pool_range.size
+    offsets = list(range(0, 8192, 64))
+    offsets += [pod.interleaved_capacity + d for d in range(-1024, 1024, 64)]
+    offsets += [top - 2048 + d for d in range(0, 2048, 64)]
+    for offset in offsets + offsets[::-1]:
+        addr = POOL_BASE + offset
+        mhd, media, shift, link = mem._route_cached(addr)
+        idx, want_media, want_dev = pod.route(addr)
+        assert (mhd, media, addr + shift, link) == (
+            pod.mhds[idx], want_media, want_dev, mem.port.links[idx])
+    assert len(mem._route_cache) < len(set(offsets))

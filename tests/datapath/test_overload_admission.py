@@ -20,7 +20,7 @@ from repro.datapath.vssd import RemoteSsdClient
 from repro.health import AimdWindow, OverloadError, RetryBudget
 from repro.pcie.nic import Nic, TX_QUEUE
 from repro.pcie.ssd import Ssd
-from repro.sim import Simulator
+from repro.sim import Interrupt, Simulator
 
 
 def make_pod(seed=2, n_hosts=2):
@@ -315,6 +315,78 @@ def test_paced_out_submitter_holds_no_sq_slot():
     assert client._tail == 2                       # second reserved on admit
     assert ssd.commands_completed == 2
     assert pacer.can_submit()                      # every slot released
+    ssd.stop()
+    finish(sim, eps)
+
+
+def test_interrupted_paced_submitter_leaks_no_slot_and_starves_no_one():
+    """A submitter torn down while parked in the pacer (as a failover
+    teardown would) holds no window slot, and the wake-up it leaves
+    behind does not swallow the wake of the submitter queued after it."""
+    sim, pod = make_pod()
+    pacer = AimdWindow("h1:dev10", lo=1.0, hi=1.0, cooldown_ns=0.0)
+    ssd, server, handle, client, eps = wire_ssd(sim, pod, pacer=pacer)
+    payload = b"parked-then-torn" * 64
+    statuses = {}
+
+    def one(lba):
+        try:
+            statuses[lba] = yield from client.write(lba=lba, data=payload)
+        except Interrupt:
+            statuses[lba] = "interrupted"
+
+    def scenario():
+        yield from client.setup()
+        sim.spawn(one(8))
+        torn = sim.spawn(one(16))
+        sim.spawn(one(24))
+        yield sim.timeout(5_000.0)
+        assert client._tail == 1                   # two parked behind one
+        assert pacer.paced_waits == 2
+        torn.interrupt("teardown")
+        yield sim.timeout(10_000_000.0)
+
+    p = sim.spawn(scenario())
+    sim.run(until=p)
+    assert statuses == {8: 0, 16: "interrupted", 24: 0}
+    assert client._tail == 2                       # torn one never reserved
+    assert ssd.commands_completed == 2
+    assert pacer.inflight == 0                     # no slot leaked
+    ssd.stop()
+    finish(sim, eps)
+
+
+def test_window_growth_alone_wakes_a_paced_submitter():
+    """A clean ack that grows the window admits a parked submitter with
+    no release at all: growth is a wake source, not just completions."""
+    sim, pod = make_pod()
+    pacer = AimdWindow("h1:dev10", lo=1.0, hi=2.0, cooldown_ns=0.0)
+    pacer.on_busy(now=0.0)                         # window 2 -> 1
+    ssd, server, handle, client, eps = wire_ssd(sim, pod, pacer=pacer)
+    payload = b"grown-not-freed!" * 64
+    statuses = []
+
+    def one(lba):
+        status = yield from client.write(lba=lba, data=payload)
+        statuses.append(status)
+
+    def scenario():
+        yield from client.setup()
+        sim.spawn(one(8))
+        sim.spawn(one(16))
+        yield sim.timeout(5_000.0)
+        assert client._tail == 1                   # second is pacing
+        pacer.on_ack(0, sim.now)                   # window 1 -> 2
+        yield sim.timeout(3_000.0)                 # past one 2 us re-check
+        assert client._tail == 2                   # admitted...
+        assert statuses == []                      # ...with no completion
+        assert pacer.inflight == 2
+        yield sim.timeout(10_000_000.0)
+
+    p = sim.spawn(scenario())
+    sim.run(until=p)
+    assert statuses == [0, 0]
+    assert pacer.inflight == 0
     ssd.stop()
     finish(sim, eps)
 

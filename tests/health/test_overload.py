@@ -7,6 +7,10 @@ These tests pin the arithmetic — token flow, window dynamics, ladder
 hysteresis — that the datapath and pool layers build on.
 """
 
+import random
+
+import pytest
+
 from repro.health import (
     BROWNOUT_DEMOTE,
     BROWNOUT_NORMAL,
@@ -139,6 +143,167 @@ def test_wait_for_slot_paces_until_a_release():
     assert times["admitted"] >= 5_000.0
     assert w.paced_waits == 1
     assert w.inflight == 2
+
+
+# ----------------------------------- waiter list vs. the 2 us re-check spin
+
+
+class SpinWindow(AimdWindow):
+    """Reference: the pacer before its waiter list.
+
+    A paced-out caller re-checks the window every ``poll_ns`` on a
+    ``sim.timeout`` spin.  The waiter list must admit the same callers
+    at the same instants in the same order.
+    """
+
+    def wait_for_slot(self, sim, poll_ns=2_000.0):
+        if self.can_submit():
+            return
+        self.paced_waits += 1
+        while not self.can_submit():
+            yield sim.timeout(poll_ns)
+
+
+POLL_NS = 2_000.0
+
+
+def random_schedule(seed, n_submitters=7, n_ops=10, n_signals=40):
+    """Inputs drawn up front, so both pacers replay the same schedule.
+
+    Submitters 0-2 start at the same instant and so share a re-check
+    grid; some ops re-enter the pacer the instant they were admitted.
+    Completions fold clean, low or pressured occupancy into the window;
+    a controller adds window growth with no release and busy nacks.
+    """
+    rng = random.Random(seed)
+    starts = [0.0] * 3 + [rng.uniform(0.0, 20_000.0)
+                          for _ in range(n_submitters - 3)]
+    submitters = []
+    for start in starts:
+        ops = [(0.0 if rng.random() < 0.3 else rng.uniform(0.0, 6_000.0),
+                rng.uniform(500.0, 15_000.0),
+                rng.choice((0, 100, 800)))
+               for _ in range(n_ops)]
+        submitters.append((start, ops))
+    signals = [(rng.uniform(100.0, 8_000.0),
+                rng.choice(("grow", "grow", "busy")))
+               for _ in range(n_signals)]
+    return submitters, signals
+
+
+def replay(window_cls, seed):
+    """Run one schedule; returns admissions and the window's end state."""
+    sim = Simulator()
+    w = window_cls("t", lo=1.0, hi=4.0, cooldown_ns=3_000.0)
+    submitters, signals = random_schedule(seed)
+    admitted = []
+
+    def complete(hold, occupancy):
+        yield sim.timeout(hold)
+        w.on_ack(occupancy, sim.now)
+        w.release()
+
+    def submitter(i, start, ops):
+        yield sim.timeout(start)
+        for k, (think, hold, occupancy) in enumerate(ops):
+            if think:
+                yield sim.timeout(think)
+            yield from w.wait_for_slot(sim, poll_ns=POLL_NS)
+            w.acquire()
+            admitted.append((sim.now, i, k))
+            sim.spawn(complete(hold, occupancy))
+
+    def controller():
+        for gap, kind in signals:
+            yield sim.timeout(gap)
+            if kind == "grow":
+                w.on_ack(0, sim.now)
+            else:
+                w.on_busy(sim.now)
+
+    for i, (start, ops) in enumerate(submitters):
+        sim.spawn(submitter(i, start, ops))
+    sim.spawn(controller())
+    sim.run()
+    end = (w.window, w.inflight, w.increases, w.decreases, w.paced_waits)
+    return admitted, end
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_waiter_list_admits_like_the_spin(seed):
+    spin_admitted, spin_end = replay(SpinWindow, seed)
+    admitted, end = replay(AimdWindow, seed)
+    assert admitted == spin_admitted       # same instants, same order
+    assert end == spin_end
+    # The schedule really contends: most ops had to pace.
+    assert end[4] >= 35
+    assert len(admitted) == 7 * 10
+
+
+def test_release_on_a_grid_point_defers_to_the_next_point():
+    """Tie rule: a release landing exactly on a parked waiter's grid
+    point counts that point as already checked; the waiter is admitted
+    at the next one.
+
+    The spin agrees when the releasing event was queued after the
+    spin's own re-check timer for that point (queued one ``poll_ns``
+    earlier), as below.  Had it been queued before, the spin would have
+    admitted at the tie point itself; the waiter list does not look at
+    queue order and always defers.
+    """
+    def run(window_cls, release_after):
+        sim = Simulator()
+        w = window_cls("t", lo=1.0, hi=1.0)
+        w.acquire()
+        times = []
+
+        def submitter():
+            yield from w.wait_for_slot(sim, poll_ns=500.0)
+            w.acquire()
+            times.append(sim.now)
+
+        def releaser():
+            for delay in release_after:
+                yield sim.timeout(delay)
+            w.release()                  # at t = 1500, a grid point
+
+        sim.spawn(submitter())
+        sim.spawn(releaser())
+        sim.run()
+        return times
+
+    queued_late = (1_200.0, 300.0)       # queued after the 1000 re-check
+    assert run(SpinWindow, queued_late) == [2_000.0]
+    assert run(AimdWindow, queued_late) == [2_000.0]
+    assert run(AimdWindow, (1_500.0,)) == [2_000.0]
+
+
+def test_paced_wait_costs_wakes_not_polls():
+    """A 1 ms paced wait processes a handful of events, not the ~500
+    2 us re-checks of the spin."""
+    def events(window_cls):
+        sim = Simulator()
+        w = window_cls("t", lo=1.0, hi=1.0)
+        w.acquire()
+        times = []
+
+        def submitter():
+            yield from w.wait_for_slot(sim)
+            w.acquire()
+            times.append(sim.now)
+
+        def releaser():
+            yield sim.timeout(999_999.0)
+            w.release()
+
+        sim.spawn(submitter())
+        sim.spawn(releaser())
+        sim.run()
+        assert times == [1_000_000.0]
+        return sim.events_processed
+
+    assert events(SpinWindow) >= 500
+    assert events(AimdWindow) <= 10
 
 
 # ----------------------------------------------------- BrownoutController
