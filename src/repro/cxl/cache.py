@@ -113,9 +113,14 @@ class CpuCache:
         self._require_aligned(addr)
         self._lines.pop(addr, None)
 
-    def dirty_lines(self) -> dict[int, bytes]:
-        """Snapshot of all dirty lines (for local-DMA snooping)."""
-        return {a: d for a, (d, dirty) in self._lines.items() if dirty}
+    def dirty_data(self, addr: int) -> Optional[bytes]:
+        """Dirty data of the line at ``addr``, or None (local-DMA snoop).
+
+        A snoop is not an access: no hit/miss count, no LRU refresh, no
+        write-back.
+        """
+        entry = self._lines.get(addr)
+        return entry[0] if entry is not None and entry[1] else None
 
     def clear(self) -> list[tuple[int, bytes]]:
         """Drop everything; returns dirty lines needing write-back."""

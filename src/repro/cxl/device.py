@@ -21,6 +21,14 @@ from repro.sim.errors import SimError
 _ZERO_LINE = bytes(CACHELINE_BYTES)
 
 
+def _lines_within(held, lo: int, hi: int) -> list[int]:
+    """Line addresses of ``held`` in ``[lo, hi)``, walking the range or
+    ``held``, whichever is smaller."""
+    if (hi - lo) // CACHELINE_BYTES <= len(held):
+        return [a for a in range(lo, hi, CACHELINE_BYTES) if a in held]
+    return [a for a in held if lo <= a < hi]
+
+
 class PoisonedMemoryError(SimError):
     """Raised when a read touches a poisoned (uncorrectable) cacheline."""
 
@@ -94,19 +102,23 @@ class MemoryMedium:
             self._check_poison(addr)
         return self._lines.get(addr, _ZERO_LINE)
 
-    def clear_line(self, addr: int) -> None:
-        """Zero the 64 B cacheline at ``addr`` (must be line-aligned).
+    def clear_range(self, lo: int, hi: int) -> None:
+        """Zero every line of ``[lo, hi)`` (line-aligned bounds).
 
         Management-path scrub used when pool memory is (re)allocated:
         clears poison and drops resident contents, so a recycled region
         can never replay a previous owner's bytes — stale-but-CRC-valid
         ring slots in reused channel memory would otherwise decode as
-        fresh messages.
+        fresh messages.  Walks the range or the resident/poison sets,
+        whichever is smaller.
         """
-        self._require_aligned(addr)
-        self._check(addr)
-        self._scrub(addr)
-        self._lines.pop(addr, None)
+        if lo % CACHELINE_BYTES or hi % CACHELINE_BYTES or hi < lo:
+            raise ValueError(f"{self.name}: bad clear range [{lo:#x}, {hi:#x})")
+        self._check(lo, hi - lo)
+        for base in _lines_within(self._lines, lo, hi):
+            del self._lines[base]
+        for base in _lines_within(self.poisoned_lines, lo, hi):
+            self._scrub(base)
 
     def write_line(self, addr: int, data: bytes) -> None:
         """Write a full 64 B cacheline at ``addr``."""

@@ -415,15 +415,18 @@ class HostMemorySystem:
             data = bytearray(self.pod.pool_read(addr, size))
         else:
             data = bytearray(self.port.local_dram.read(addr, size))
-        # Overlay this host's store buffer and dirty lines (snoop): local
-        # DMA is coherent with the issuing host, never with remote hosts.
-        dirty = self.cache.dirty_lines()
-        if dirty or self._store_buffer:
+        # Overlay this host's dirty lines, then its store buffer (snoop):
+        # local DMA is coherent with the issuing host, never with remote
+        # hosts.  Only the span's own lines are probed.
+        cache, buffer = self.cache, self._store_buffer
+        if len(cache) or buffer:
             for base in line_range(addr, size):
-                buffered = self._store_buffer.get(base)
-                line = dirty.get(base, buffered[1] if buffered else None)
+                line = cache.dirty_data(base)
                 if line is None:
-                    continue
+                    buffered = buffer.get(base)
+                    if buffered is None:
+                        continue
+                    line = buffered[1]
                 start = max(addr, base)
                 end = min(addr + size, base + CACHELINE_BYTES)
                 data[start - addr:end - addr] = (

@@ -478,9 +478,28 @@ class CxlPod:
         liveness; interleaving requires every MHD up), so the scrub
         never touches a failed device.
         """
-        for addr in range(rng.base, rng.base + rng.size, CACHELINE_BYTES):
-            _idx, media, dev_addr = self.route(addr)
-            media.clear_line(dev_addr)
+        offset = self.pool_range.offset_of(rng.base)
+        end = offset + rng.size
+        if end > self.interleaved_capacity:
+            # A confined span: one contiguous range of one MHD (raises if
+            # it straddles windows).
+            self._ras_span_index(offset, rng.size)
+            _idx, media, lo = self.route(rng.base)
+            media.clear_range(lo, lo + rng.size)
+            return
+        # An interleaved span covers one contiguous device range per MHD:
+        # an MHD's device address is the count of its pool bytes below.
+        for idx, mhd in enumerate(self.mhds):
+            lo = self._striped_bytes_below(offset, idx)
+            hi = self._striped_bytes_below(end, idx)
+            if hi > lo:
+                mhd.memory.clear_range(lo, hi)
+
+    def _striped_bytes_below(self, offset: int, mhd_idx: int) -> int:
+        """Interleaved pool bytes in ``[0, offset)`` that live on one MHD."""
+        gran = self.interleave.granularity
+        rounds, rest = divmod(offset, gran * self.config.n_mhds)
+        return rounds * gran + min(max(rest - mhd_idx * gran, 0), gran)
 
     def pick_ras_mhd(self) -> int:
         """Next healthy MHD in round-robin order (λ-redundant spreading).

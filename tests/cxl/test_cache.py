@@ -82,10 +82,16 @@ def test_clean_eviction_is_silent():
 
 
 def test_dirty_lines_snapshot():
-    cache = CpuCache("h0")
+    cache = CpuCache("h0", capacity_lines=2)
     cache.write(0, LINE)
     cache.fill(64, OTHER)
-    assert cache.dirty_lines() == {0: LINE}
+    assert cache.dirty_data(0) == LINE
+    assert cache.dirty_data(64) is None   # clean
+    assert cache.dirty_data(128) is None  # absent
+    # A snoop is not an access: no telemetry, and LRU order is untouched
+    # (line 0 stays least recent, so the next fill evicts it).
+    assert (cache.hits, cache.misses, cache.writebacks) == (0, 0, 0)
+    assert cache.fill(128, OTHER) == [(0, LINE)]
 
 
 def test_clear_returns_dirty():

@@ -6,8 +6,13 @@ another host rewrites it — the exact problem §4.1 says the datapath must
 handle in software.
 """
 
+import random
+from collections import OrderedDict
+
 import pytest
 
+from repro.cxl.address import CACHELINE_BYTES, line_range
+from repro.cxl.cache import CpuCache
 from repro.cxl.params import DEFAULT_TIMINGS
 from repro.cxl.pod import POOL_BASE, CxlPod, PodConfig
 from repro.sim import Simulator
@@ -282,3 +287,143 @@ def test_granule_route_memo_agrees_with_the_pod_map():
         assert (mhd, media, addr + shift, link) == (
             pod.mhds[idx], want_media, want_dev, mem.port.links[idx])
     assert len(mem._route_cache) < len(set(offsets))
+
+
+def _snapshot_overlay(mem, addr, size, device_bytes):
+    """Reference snoop: overlay a whole-cache snapshot of the dirty lines,
+    then the store buffer, onto the device bytes (the O(cache) form)."""
+    dirty = {a: d for a, (d, flag) in mem.cache._lines.items() if flag}
+    data = bytearray(device_bytes)
+    if dirty or mem._store_buffer:
+        for base in line_range(addr, size):
+            buffered = mem._store_buffer.get(base)
+            line = dirty.get(base, buffered[1] if buffered else None)
+            if line is None:
+                continue
+            start = max(addr, base)
+            end = min(addr + size, base + CACHELINE_BYTES)
+            data[start - addr:end - addr] = line[start - base:end - base]
+    return bytes(data)
+
+
+def _device_bytes(mem, addr, size):
+    if mem._is_pool(addr):
+        return mem.pod.pool_read(addr, size)
+    return mem.port.local_dram.read(addr, size)
+
+
+def _cache_state(mem):
+    cache = mem.cache
+    return cache.hits, cache.misses, cache.writebacks, list(cache._lines)
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_per_line_dma_snoop_matches_the_snapshot_overlay(seed):
+    """Random cache/store-buffer states on two hosts: every DMA read,
+    pool or local, returns exactly what the whole-cache snapshot overlay
+    returns at the same instant, and leaves the cache's hit/miss/
+    write-back counts and LRU order as they were."""
+    rng = random.Random(seed)
+    sim = Simulator()
+    pod = CxlPod(sim, PodConfig(n_hosts=2, n_mhds=2, mhd_capacity=1 << 26))
+    hosts = [pod.host("h0"), pod.host("h1")]
+    for mem in hosts:
+        mem.cache = CpuCache(mem.host_id, capacity_lines=6)
+    for idx in range(2):
+        # Fail-slow media stretch NT-store visibility (not DMA transfers),
+        # so pool store-buffer entries are still pending at DMA snoops.
+        pod.slow_mhd(idx, 20.0)
+    lines = 24
+    bases = [POOL_BASE, 4096]
+    seen = dict.fromkeys(["dirty", "buffered", "both", "remote", "full",
+                          "reads"], 0)
+
+    def line_addr():
+        return rng.choice(bases) + CACHELINE_BYTES * rng.randrange(lines)
+
+    def payload():
+        return bytes(rng.randrange(256) for _ in range(CACHELINE_BYTES))
+
+    def driver():
+        for _ in range(300):
+            mem = rng.choice(hosts)
+            op = rng.randrange(8)
+            if op == 0:
+                yield from mem.store_line(line_addr(), payload())
+            elif op == 1:
+                yield from mem.load_line(line_addr())
+            elif op == 2:
+                yield from mem.flush_line(line_addr())
+            elif op == 3:
+                yield from mem.store_line_nt(line_addr(), payload())
+            elif op == 4:
+                yield from mem.invalidate_line(line_addr())
+            elif op == 5:
+                addr = line_addr() + rng.randrange(CACHELINE_BYTES)
+                yield from mem.dma_write(addr, payload()[:rng.randint(1, 64)])
+            else:
+                base = rng.choice(bases)
+                addr = base + rng.randrange(lines * CACHELINE_BYTES - 200)
+                size = rng.randint(1, 200)
+                if rng.random() < 0.5:
+                    # An NT store into the span, still in flight at the
+                    # snoop (it may also shadow a dirty cached line).
+                    hit = rng.choice(line_range(addr, size))
+                    yield from mem.store_line_nt(hit, payload())
+                    if rng.random() < 0.5:
+                        yield from mem.store_line(hit, payload())
+                before = _cache_state(mem)
+                data = yield from mem.dma_read(addr, size)
+                # dma_read returned in this same step: nothing else ran.
+                want = _snapshot_overlay(
+                    mem, addr, size, _device_bytes(mem, addr, size))
+                assert data == want
+                assert _cache_state(mem) == before
+                span = set(line_range(addr, size))
+                dirty = {a for a in span if mem.cache.is_dirty(a)}
+                buffered = span & set(mem._store_buffer)
+                seen["reads"] += 1
+                seen["dirty"] += bool(dirty)
+                seen["buffered"] += bool(buffered)
+                seen["both"] += bool(dirty & buffered)
+                other = hosts[1 - hosts.index(mem)]
+                seen["remote"] += any(other.cache.is_dirty(a) for a in span)
+                seen["full"] += len(mem.cache) == mem.cache.capacity_lines
+
+    run(sim, driver())
+    # The random states really exercised both overlay sources, their
+    # precedence, lines dirty on the other host, and a full cache.
+    assert seen["reads"] > 50
+    assert all(seen.values()), seen
+
+
+class _NoScanLines(OrderedDict):
+    """Cache storage that refuses any whole-cache walk."""
+
+    def __iter__(self):
+        raise AssertionError("whole-cache scan")
+
+    def items(self):
+        raise AssertionError("whole-cache scan")
+
+    def values(self):
+        raise AssertionError("whole-cache scan")
+
+
+def test_dma_read_snoop_never_walks_the_whole_cache(pod):
+    sim, pod = pod
+    h0 = pod.host("h0")
+
+    def proc(mem):
+        for i in range(8):
+            yield from mem.load_line(POOL_BASE + 4096 + 64 * i)  # clean
+        mem.cache._lines = _NoScanLines(mem.cache._lines)
+        yield from mem.store_line(POOL_BASE + 64, LINE_B)        # dirty
+        yield from mem.store_line_nt(POOL_BASE + 128, LINE_A)    # buffered
+        data = yield from mem.dma_read(POOL_BASE + 32, 160)
+        return data
+
+    data = run(sim, proc(h0))
+    assert data == bytes(32) + LINE_B + LINE_A
+    with pytest.raises(AssertionError, match="whole-cache scan"):
+        _snapshot_overlay(h0, POOL_BASE, 64, bytes(64))

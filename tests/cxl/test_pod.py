@@ -1,7 +1,10 @@
 """Unit tests for pods, MHDs, and pool address routing."""
 
+import random
+
 import pytest
 
+from repro.cxl.address import CACHELINE_BYTES
 from repro.cxl.allocator import AllocationError
 from repro.cxl.device import PoisonedMemoryError
 from repro.cxl.mhd import (
@@ -275,3 +278,118 @@ def test_ras_counters_track_mhd_failures():
     pod.repair_mhd(0)
     assert pod.ras_counters()["mhds_down"] == 0
     assert pod.ras_counters()["mhd_failures"] == 1
+
+
+def _per_line_scrub(pod):
+    """Reference allocation scrub: route and clear every 64 B line."""
+    def scrub(rng):
+        for addr in range(rng.base, rng.end, CACHELINE_BYTES):
+            _idx, media, dev_addr = pod.route(addr)
+            media._require_aligned(dev_addr)
+            media._check(dev_addr)
+            media._scrub(dev_addr)
+            media._lines.pop(dev_addr, None)
+    return scrub
+
+
+def _media_state(pod):
+    return [
+        (dict(m._lines), set(m.poisoned_lines), m.poisons_injected,
+         m.poisons_scrubbed)
+        for m in (mhd.memory for mhd in pod.mhds)
+    ]
+
+
+@pytest.mark.parametrize("gran", [256, 384])
+@pytest.mark.parametrize("n_mhds", [1, 2, 3, 4])
+def test_range_scrub_matches_the_per_line_scrub(n_mhds, gran):
+    """Interleaved allocations starting and ending mid-granule, and
+    confined ones, over media pre-seeded with resident and poisoned lines
+    inside each allocation and just outside it on both sides: one
+    ``clear_range`` per MHD leaves every device exactly as the per-line
+    scrub does."""
+    rng = random.Random(n_mhds * 1000 + gran)
+    config = PodConfig(n_hosts=1, n_mhds=n_mhds, mhd_capacity=gran * 512,
+                       interleave_bytes=gran, ras_bytes_per_mhd=gran * 64)
+    ref = CxlPod(Simulator(), config)
+    ref._scrub_on_allocate = _per_line_scrub(ref)
+    new = CxlPod(Simulator(), config)
+    calls = []
+    walks = set()
+
+    def counting(media):
+        clear_range = media.clear_range
+
+        def wrapped(lo, hi):
+            calls.append(media)
+            for held in (media._lines, media.poisoned_lines):
+                walks.add((hi - lo) // CACHELINE_BYTES <= len(held))
+            clear_range(lo, hi)
+        return wrapped
+
+    for mhd in new.mhds:
+        mhd.memory.clear_range = counting(mhd.memory)
+
+    def seed(pod, ops):
+        for idx, dev_addr, data, poison in ops:
+            media = pod.mhds[idx].memory
+            media.write_line(dev_addr, data)
+            if poison:
+                media.poison(dev_addr)
+
+    live = []
+    mid_granule = 0
+    for _round in range(24):
+        confined = rng.random() < 0.3
+        size = CACHELINE_BYTES * rng.randint(1, 3 * gran * n_mhds // 64)
+        where = rng.randrange(n_mhds) if confined else None
+        # Find where the allocation will land, then seed it and its edges.
+        probe = ref.allocate(size, ["h0"], mhd_index=where)
+        ref.free(probe)
+        lines = {}
+        for addr in range(probe.range.base, probe.range.end,
+                          CACHELINE_BYTES):
+            idx, _media, dev_addr = ref.route(addr)
+            lines.setdefault(idx, []).append(dev_addr)
+        density = rng.choice([0.05, 0.5, 0.95])
+        ops = []
+        for idx, devs in lines.items():
+            top = ref.mhds[idx].memory.capacity
+            inside = [d for d in devs if rng.random() < density]
+            edges = [d for d in (min(devs) - CACHELINE_BYTES,
+                                 max(devs) + CACHELINE_BYTES)
+                     if 0 <= d < top]
+            for dev_addr in inside + edges:
+                ops.append((idx, dev_addr, bytes([rng.randrange(1, 256)]) * 64,
+                            dev_addr in edges or rng.random() < 0.5))
+        if rng.random() < 0.5:
+            # Background residency anywhere on the devices: a resident
+            # set larger than the range makes the scrub walk the range.
+            for idx in range(n_mhds):
+                for _ in range(rng.randrange(64)):
+                    dev_addr = CACHELINE_BYTES * rng.randrange(
+                        config.mhd_capacity // CACHELINE_BYTES)
+                    ops.append((idx, dev_addr, b"\x01" * 64, False))
+        seed(ref, ops)
+        seed(new, ops)
+        before = len(calls)
+        got = new.allocate(size, ["h0"], mhd_index=where)
+        want = ref.allocate(size, ["h0"], mhd_index=where)
+        assert got.range == want.range == probe.range
+        assert len(calls) - before <= n_mhds
+        assert _media_state(new) == _media_state(ref)
+        for m in (mhd.memory for mhd in new.mhds):
+            assert m.poisons_injected == (
+                m.poisons_scrubbed + m.poisoned_resident)
+        live.append((got, want))
+        mid_granule += where is None and bool(
+            got.range.base % gran and got.range.end % gran)
+        if rng.random() < 0.4:
+            got, want = live.pop(rng.randrange(len(live)))
+            new.free(got)
+            ref.free(want)
+    assert mid_granule > 0
+    counters = new.ras_counters()
+    assert counters["poisons_scrubbed"] > 0
+    assert counters["poisoned_resident"] > 0  # the edges kept their poison
+    assert walks == {True, False}  # walked ranges and walked sets
