@@ -170,6 +170,38 @@ class RingLayout:
         return CACHELINE_BYTES * (1 + self.n_slots)
 
 
+class RingRendezvous:
+    """The publish edge of one ring, shared by its sender and receiver.
+
+    ``published`` is the sender's cumulative committed-slot count; the
+    receiver compares it with its consumed count before parking, so a
+    publish whose NT store has committed but not yet landed at the media
+    is polled for instead of slept through.  ``waiter`` is the
+    receiver's parked event; the sender's next commit succeeds it.  One
+    object per channel: a channel rebuilt over recycled ring memory
+    starts from zero instead of inheriting a dead sender's count.
+    """
+
+    __slots__ = ("published", "waiter")
+
+    def __init__(self):
+        self.published = 0
+        self.waiter = None
+
+    def park(self, sim):
+        """Return an unscheduled event that the next publish succeeds."""
+        self.waiter = sim.event()
+        return self.waiter
+
+    def publish(self, published: int) -> None:
+        """Record the sender's new commit count and wake a parked waiter."""
+        self.published = published
+        waiter = self.waiter
+        if waiter is not None:
+            self.waiter = None
+            waiter.succeed()
+
+
 class RingChannel:
     """Factory tying one shared allocation to a sender and a receiver."""
 
@@ -189,8 +221,9 @@ class RingChannel:
                 "sender and receiver regions must map the same allocation"
             )
         self.layout = layout
-        self.sender = RingSender(sender_region, layout)
-        self.receiver = RingReceiver(receiver_region, layout)
+        rendezvous = RingRendezvous()
+        self.sender = RingSender(sender_region, layout, rendezvous)
+        self.receiver = RingReceiver(receiver_region, layout, rendezvous)
         #: Filled in by :meth:`over_pod` for recovery bookkeeping.
         self.alloc = None
         self.mhd_index: int | None = None
@@ -233,9 +266,12 @@ def _seq_for_pass(pass_number: int) -> int:
 class RingSender:
     """Producer side: owns the head counter."""
 
-    def __init__(self, region: SharedRegion, layout: RingLayout):
+    def __init__(self, region: SharedRegion, layout: RingLayout,
+                 rendezvous: RingRendezvous):
         self.region = region
         self.layout = layout
+        #: Publish edge shared with the receiver (see RingRendezvous).
+        self.rendezvous = rendezvous
         self._head = 0          # messages sent
         self._known_consumed = 0  # receiver progress we last observed
         self.sent = 0
@@ -261,10 +297,6 @@ class RingSender:
         # published frame is still snapshotted immutable before the first
         # yield — concurrent sender processes share this scratch.
         self._scratch = bytearray(CACHELINE_BYTES)
-        # Poll-elision rendezvous: both halves of a ring derive the same
-        # key from the shared allocation base, so a sender can wake a
-        # parked receiver through ``sim.notify`` (see repro.channel.rpc).
-        self.notify_key = ("ring", region.base)
         # Ring-full stalls observed (blocking sends) / refusals (try_send).
         self.full_events = 0
         # Bounded sends that hit their deadline while still full —
@@ -523,7 +555,7 @@ class RingSender:
         # the media one store latency later; the published count rides
         # along so an awake receiver knows not to park across that
         # window.
-        sim.notify(self.notify_key, self.sent)
+        self.rendezvous.publish(self.sent)
 
     def _note_full(self) -> None:
         self.full_events += 1
@@ -572,9 +604,7 @@ class RingSender:
                 self.link_retries += 1
                 yield sim.timeout(self.link_retry_poll_ns)
         self.sent += 1
-        # Wake a parked receiver (poll elision); a receiver that is not
-        # parked sees no waiter list and the call is two dict probes.
-        sim.notify(self.notify_key, self.sent)
+        self.rendezvous.publish(self.sent)
 
     def _refresh_progress(self):
         try:
@@ -601,9 +631,12 @@ class RingReceiver:
     """Consumer side: owns the tail counter, publishes progress."""
 
     def __init__(self, region: SharedRegion, layout: RingLayout,
+                 rendezvous: RingRendezvous,
                  progress_every: int | None = None):
         self.region = region
         self.layout = layout
+        #: Publish edge shared with the sender (see RingRendezvous).
+        self.rendezvous = rendezvous
         self._tail = 0
         self.received = 0
         # Publish progress every quarter ring by default: cheap enough to
@@ -614,10 +647,6 @@ class RingReceiver:
         # a flap can never deadlock a sender waiting for ring space.
         self._progress_dirty = False
         self.deferred_progress = 0
-        #: Poll-elision rendezvous key (mirror of the sender's): a parked
-        #: dispatcher registers under this key and the sender's publish
-        #: fires its watchdog timeout early.
-        self.notify_key = ("ring", region.base)
         #: Set when the channel's memory is freed: all receives must fail.
         self.retired = False
         #: Gray-failure demotion: while set, :meth:`drain` consumes
@@ -639,9 +668,9 @@ class RingReceiver:
     def consumed(self) -> int:
         """Slots consumed so far (delivered + damaged-and-skipped).
 
-        Compared against the sender's published count (via the notify
-        state) by parking pollers: sender ahead means a message is in
-        flight or ready, so parking would strand it until the watchdog.
+        Compared against the sender's published count (the rendezvous)
+        by parking pollers: sender ahead means a message is in flight or
+        ready, and parking would strand it until the next publish.
         """
         return self._tail
 

@@ -19,7 +19,7 @@ The kernel keeps three structures instead of one big heap:
   append (no heap sift); a bucket is sorted once, in C, when the cursor
   reaches it;
 * ``_overflow`` — a heap for far-future events beyond the wheel horizon
-  (lease renewals, watchdogs, adaptive-poll ceilings).  Entries migrate
+  (lease renewals, agent ticks, op-timeout deadlines).  Entries migrate
   into the wheel as the cursor advances.
 
 Because bucket index is monotone in time and entries within a bucket are
@@ -29,11 +29,10 @@ single-heap kernel's.  ``Simulator(legacy_heap=True)`` (or the
 the determinism ladder in ``tests/sim/test_kernel_ladder.py`` can prove
 that equivalence on whole scenario runs.
 
-Cancellation is *lazy*: :meth:`Simulator.fire_early` tombstones the old
-queue entry (an O(1) set insert) and pushes a fresh one instead of
-re-sorting any structure; stale entries are skipped when popped.  This is
-what lets a sender-side notify hook wake a parked poller without the
-kernel ever paying for the abandoned watchdog entry.
+The kernel never cancels or reschedules a queued entry: every entry it
+pops is live.  A software wait that may end early (a parked RPC
+dispatcher, a paced client) waits on a plain unscheduled event that
+whoever changes the state succeeds, so nothing is queued while it waits.
 """
 
 from __future__ import annotations
@@ -80,7 +79,7 @@ class Simulator:
         self._legacy = legacy_heap
         self._now: float = 0.0
         self._seq = 0
-        #: Live (non-tombstoned) scheduled entries across all structures.
+        #: Scheduled entries across all structures.
         self._live = 0
         #: Entries at tick <= cursor (and, in legacy mode, *all* entries).
         self._ready: list[tuple[float, int, Event]] = []
@@ -91,8 +90,6 @@ class Simulator:
         self._overflow: list[tuple[float, int, Event]] = []
         #: Wheel cursor: the bucket tick currently drained into ``_ready``.
         self._cursor = 0
-        #: Sequence numbers of tombstoned (rescheduled/canceled) entries.
-        self._stale: set[int] = set()
         self._active_process: Optional[Process] = None
         self._dead = False
         self.rng = RandomStreams(seed)
@@ -103,15 +100,6 @@ class Simulator:
         #: Cheap event counter (monotonic, survives profiler detach) so
         #: benchmarks can compute events/s without per-event timing.
         self.events_processed = 0
-        #: In-sim notify rendezvous: key -> list of parked Timeouts that a
-        #: publisher may fire early (see repro.channel poll elision).
-        self.notify_waiters: dict[Any, list[Event]] = {}
-        #: Last ``state`` published per notify key (e.g. a sender's
-        #: cumulative publish count).  A would-be parker compares it with
-        #: its own consumed count to close the commit-to-landing race: a
-        #: publish that has committed but not yet landed at the media
-        #: shows up here before it is pollable.
-        self.notify_state: dict[Any, Any] = {}
 
     # -- clock ----------------------------------------------------------
 
@@ -158,8 +146,6 @@ class Simulator:
         t = self._now + delay
         seq = self._seq
         self._seq = seq + 1
-        event._sched_seq = seq
-        event._sched_time = t
         self._live += 1
         if self._legacy:
             heappush(self._ready, (t, seq, event))
@@ -174,48 +160,24 @@ class Simulator:
         else:
             heappush(self._overflow, (t, seq, event))
 
-    def fire_early(self, event: Event, delay: float = 0.0) -> bool:
-        """Reschedule a queued event to ``now + delay`` if that is earlier.
-
-        The original queue entry is tombstoned (lazy O(1) cancel) and a
-        fresh entry pushed; relative order against other events follows
-        the *new* ``(time, seq)`` key.  Returns False without side effects
-        when the event is not queued, already processed, or already due
-        no later than the requested time.
-        """
-        if event.callbacks is None or event._sched_seq is None:
-            return False
-        t_new = self._now + delay
-        if event._sched_time <= t_new:
-            return False
-        self._stale.add(event._sched_seq)
-        self._live -= 1
-        self.schedule(event, delay)
-        return True
-
     def peek(self) -> float:
         """Time of the next scheduled event, or ``inf`` if queue is empty."""
         return self._ready[0][0] if self._prepare_head() else _INF
 
     def _prepare_head(self) -> bool:
-        """Position the next live entry at ``_ready[0]``; False if none."""
-        stale = self._stale
-        while True:
-            # Re-fetch each round: _advance_bucket swaps _ready wholesale.
-            ready = self._ready
-            while ready:
-                if stale and ready[0][1] in stale:
-                    stale.discard(heappop(ready)[1])
-                    continue
-                return True
+        """Position the next entry at ``_ready[0]``; False if none."""
+        # Re-check after each advance: _advance_bucket swaps _ready
+        # wholesale.
+        while not self._ready:
             if self._live == 0 or self._legacy:
                 return False
             self._advance_bucket()
+        return True
 
     def _advance_bucket(self) -> None:
         """Advance the cursor to the next occupied bucket, filling _ready.
 
-        Precondition: ``_ready`` is empty and at least one live entry
+        Precondition: ``_ready`` is empty and at least one entry
         exists in the wheel or overflow heap.
         """
         wheel = self._wheel
@@ -348,31 +310,6 @@ class Simulator:
             raise event._exception
         raise StopSimulation(event)
 
-    def notify(self, key: Any, state: Any = None) -> int:
-        """Fire every parked waiter registered under ``key`` early.
-
-        The sender-side half of poll elision: publishers call this after
-        committing data so idle pollers waiting on a far-future watchdog
-        timeout wake now instead.  Returns the number of waiters woken.
-        Waiters register by appending a *scheduled* event to
-        ``notify_waiters[key]`` and must deregister themselves.
-
-        ``state`` (when not None) is stored in :attr:`notify_state` for
-        waiters that were awake when the notify fired: before parking
-        they compare it against their own progress and keep polling if
-        the publisher is ahead.
-        """
-        if state is not None:
-            self.notify_state[key] = state
-        waiters = self.notify_waiters.get(key)
-        if not waiters:
-            return 0
-        woken = 0
-        for ev in waiters:
-            if self.fire_early(ev):
-                woken += 1
-        return woken
-
     def shutdown(self) -> None:
         """Discard all pending events and reject further scheduling."""
         self._ready.clear()
@@ -380,7 +317,6 @@ class Simulator:
         for slot in self._wheel:
             slot.clear()
         self._wheel_count = 0
-        self._stale.clear()
         self._live = 0
         self._dead = True
 

@@ -12,7 +12,8 @@ Two rungs:
 * property tests drive both kernels through adversarial schedules —
   same-instant ties, bucket-wrap boundaries (the wheel spans 256
   slots x 128 ns = 32768 ns), far-future overflow entries, and
-  ``fire_early`` rescheduling — and require identical pop traces;
+  pending events succeeded mid-run (the parked-waiter wake path) — and
+  require identical pop traces;
 * the three classic runbooks (chaos/gray/overload) run one full cell
   per arm and must produce identical fault-log signatures, event
   lines, and metric summaries.
@@ -31,30 +32,33 @@ from repro.sim import Simulator
 WHEEL_SPAN_NS = 256 << 7
 
 
-def pop_trace(legacy: bool, delays, reschedules=()):
-    """Fire a waiter per delay (plus optional fire_early reschedules on
-    a driver process) and return the (time, waiter) pop order."""
+def pop_trace(legacy: bool, delays, wakes=()):
+    """Fire a waiter per delay (plus optional parked waiters that a
+    driver process wakes mid-run) and return the (time, waiter) pop
+    order."""
     sim = Simulator(seed=4, legacy_heap=legacy)
     trace = []
-    events = []
 
-    def waiter(idx, delay):
-        yield sim.timeout(delay)
+    def waiter(idx, event):
+        yield event
         trace.append((sim.now, idx))
 
     for idx, delay in enumerate(delays):
-        sim.spawn(waiter(idx, delay), name=f"w{idx}")
+        sim.spawn(waiter(idx, sim.timeout(delay)), name=f"w{idx}")
+
+    parked = [sim.event() for _ in wakes]
+    for idx, event in enumerate(parked):
+        sim.spawn(waiter(-1 - idx, event), name=f"p{idx}")
 
     def driver():
-        # Pre-schedule standalone events, then yank some forward.
-        for delay in delays:
-            events.append(sim.timeout(delay + 10_000.0))
-        for pick, early in reschedules:
+        for (pick, early, delay) in wakes:
             yield sim.timeout(early)
-            sim.fire_early(events[pick % len(events)])
+            event = parked[pick % len(parked)]
+            if not event.triggered:
+                event.succeed(delay=delay)
         yield sim.timeout(1.0)
 
-    if reschedules:
+    if wakes:
         sim.spawn(driver(), name="driver")
     sim.run()
     return trace
@@ -81,16 +85,18 @@ def test_property_wheel_matches_heap_pop_order(delays):
 @given(
     delays=st.lists(st.floats(min_value=0.0, max_value=4.0 * WHEEL_SPAN_NS),
                     min_size=2, max_size=12),
-    reschedules=st.lists(
+    wakes=st.lists(
         st.tuples(st.integers(min_value=0, max_value=11),
-                  st.floats(min_value=0.0, max_value=WHEEL_SPAN_NS)),
+                  st.floats(min_value=0.0, max_value=WHEEL_SPAN_NS),
+                  st.sampled_from([0.0, 0.0, 64.0, 2.0 * WHEEL_SPAN_NS])),
         min_size=1, max_size=6),
 )
-def test_property_fire_early_matches_heap(delays, reschedules):
-    """Tombstoned-and-rescheduled entries keep wheel order identical to
-    the heap's: fire_early is the elision hot path."""
-    wheel = pop_trace(False, delays, reschedules)
-    heap = pop_trace(True, delays, reschedules)
+def test_property_late_succeed_matches_heap(delays, wakes):
+    """Pending events succeeded mid-run keep wheel order identical to
+    the heap's: a succeed at commit time is how a publish wakes a
+    parked dispatcher."""
+    wheel = pop_trace(False, delays, wakes)
+    heap = pop_trace(True, delays, wakes)
     assert wheel == heap
 
 
