@@ -29,6 +29,15 @@ def _lines_within(held, lo: int, hi: int) -> list[int]:
     return [a for a in held if lo <= a < hi]
 
 
+def wake_parked(parked: dict, base: int) -> None:
+    """Wake every poller in ``parked`` (line address -> parks) that is
+    parked on line ``base``."""
+    parks = parked.get(base)
+    if parks:
+        for park in tuple(parks):
+            park.wake()
+
+
 class PoisonedMemoryError(SimError):
     """Raised when a read touches a poisoned (uncorrectable) cacheline."""
 
@@ -58,6 +67,10 @@ class MemoryMedium:
         self.poisons_injected = 0
         self.poison_reads = 0
         self.poisons_scrubbed = 0
+        #: Parked uncached pollers by line address
+        #: (:class:`repro.cxl.memsys.PollPark`): any change to a line
+        #: wakes the pollers parked on it.
+        self.parked: dict[int, list] = {}
 
     # -- RAS: poison ------------------------------------------------------
 
@@ -68,6 +81,8 @@ class MemoryMedium:
         if base not in self.poisoned_lines:
             self.poisoned_lines.add(base)
             self.poisons_injected += 1
+        if self.parked:
+            wake_parked(self.parked, base)
 
     def _scrub(self, base: int) -> None:
         """A write to a poisoned line clears the poison (overwrite-to-clear)."""
@@ -119,6 +134,8 @@ class MemoryMedium:
             del self._lines[base]
         for base in _lines_within(self.poisoned_lines, lo, hi):
             self._scrub(base)
+        for base in _lines_within(self.parked, lo, hi):
+            wake_parked(self.parked, base)
 
     def write_line(self, addr: int, data: bytes) -> None:
         """Write a full 64 B cacheline at ``addr``."""
@@ -133,6 +150,8 @@ class MemoryMedium:
         if self.poisoned_lines:
             self._scrub(addr)
         self._lines[addr] = bytes(data)
+        if self.parked:
+            wake_parked(self.parked, addr)
 
     # -- arbitrary spans (DMA) ----------------------------------------------
 
@@ -172,6 +191,8 @@ class MemoryMedium:
             line = bytearray(self._lines.get(base, _ZERO_LINE))
             line[off:off + take] = data[pos:pos + take]
             self._lines[base] = bytes(line)
+            if self.parked:
+                wake_parked(self.parked, base)
             cur += take
             pos += take
 

@@ -82,6 +82,16 @@ class CxlLink:
         self.jitter_ns = 0.0
         self._jitter_rng = None
         self.times_jittered = 0
+        #: Parked uncached pollers reading over this link, by line
+        #: address (:class:`repro.cxl.memsys.PollPark`).  Every change
+        #: to what a line op does or costs -- down, up, slow, jitter --
+        #: wakes them all.
+        self.parked: dict[int, list] = {}
+
+    def _line_state_changed(self) -> None:
+        for parks in tuple(self.parked.values()):
+            for park in tuple(parks):
+                park.wake()
 
     # -- health ----------------------------------------------------------
 
@@ -91,6 +101,7 @@ class CxlLink:
             self.times_failed += 1
             self._down_since = self.sim.now
         self.up = False
+        self._line_state_changed()
 
     def restore(self) -> None:
         """Bring the link back up."""
@@ -98,6 +109,7 @@ class CxlLink:
             self.downtime_ns += self.sim.now - self._down_since
             self._down_since = None
         self.up = True
+        self._line_state_changed()
 
     def degrade(self, factor: float) -> None:
         """Collapse the link's bandwidth to ``factor`` of nominal.
@@ -134,10 +146,12 @@ class CxlLink:
         if self.slow_factor == 1.0 and factor > 1.0:
             self.times_slowed += 1
         self.slow_factor = factor
+        self._line_state_changed()
 
     def restore_latency(self) -> None:
         """End a fail-slow window: line ops back to nominal latency."""
         self.slow_factor = 1.0
+        self._line_state_changed()
 
     @property
     def slowed(self) -> bool:
@@ -155,11 +169,18 @@ class CxlLink:
             self.times_jittered += 1
         self.jitter_ns = jitter_ns
         self._jitter_rng = rng
+        self._line_state_changed()
 
     def clear_jitter(self) -> None:
         """End a jitter window."""
         self.jitter_ns = 0.0
         self._jitter_rng = None
+        self._line_state_changed()
+
+    @property
+    def jittered(self) -> bool:
+        """Whether each line op draws a random latency addition."""
+        return self.jitter_ns > 0.0 and self._jitter_rng is not None
 
     def _line_extra_ns(self) -> float:
         """Fail-slow additions to one line op's latency."""

@@ -16,6 +16,10 @@ inside a simulation process).  The semantics that matter for correctness:
   latency (posted: the issuing CPU does not stall for visibility);
 * ``dma_read``/``dma_write`` are device-initiated: coherent with *this*
   host's cache (snooped, like PCIe on x86) but not with remote caches.
+
+Posted writes (NT stores, flushes, dirty evictions) land by a timeout
+callback, not a process.  :class:`PollPark` lets a busy-poller of one
+uncached line sleep between the polls that could see something new.
 """
 
 from __future__ import annotations
@@ -24,7 +28,7 @@ from typing import TYPE_CHECKING
 
 from repro.cxl.address import CACHELINE_BYTES, line_range
 from repro.cxl.cache import CpuCache
-from repro.cxl.device import PoisonedMemoryError
+from repro.cxl.device import PoisonedMemoryError, wake_parked
 from repro.cxl.link import LinkDownError
 from repro.cxl.mhd import MhdFailedError
 from repro.sim import AllOf
@@ -57,6 +61,10 @@ class HostMemorySystem:
         # latency, which is the whole point of the visibility model.
         self._store_buffer: dict[int, tuple[int, bytes]] = {}
         self._store_wid = 0
+        #: This host's parked uncached pollers by line address
+        #: (:class:`PollPark`): a store it commits to a line changes what
+        #: its own polls of that line see.
+        self.parked: dict[int, list] = {}
         # RAS telemetry: posted writes (NT drains, dirty evictions) whose
         # target device died before the data landed.  The writes are
         # dropped — exactly what real posted stores to dead media do — and
@@ -227,22 +235,27 @@ class HostMemorySystem:
         self._store_wid += 1
         wid = self._store_wid
         self._store_buffer[addr] = (wid, data)
-        self.sim.spawn(
-            self._drain_store(addr, wid, data, self._store_latency(addr)),
-            name=f"nt-drain:{self.host_id}:{addr:#x}",
-        )
+        if self.parked:
+            # This host's own polls of ``addr`` now see the new entry.
+            wake_parked(self.parked, addr)
+        self.sim.timeout(
+            self._store_latency(addr), (addr, data, wid)
+        ).add_callback(self._land)
 
-    def _drain_store(self, addr: int, wid: int, data: bytes, delay: float):
-        yield self.sim.timeout(delay)
+    def _land(self, event) -> None:
+        """Callback: a posted line write (NT store, flush or dirty
+        eviction; ``wid`` is None for an eviction) reaches the device."""
+        addr, data, wid = event.value
         try:
             self._medium_write_line(addr, data)
         except LinkDownError:
-            # Posted store to a device that died in flight: the write is
+            # Posted write to a device that died in flight: the write is
             # lost (counted), never silently half-applied.
             self.stores_dropped += 1
-        entry = self._store_buffer.get(addr)
-        if entry is not None and entry[0] == wid:
-            del self._store_buffer[addr]
+        if wid is not None:
+            entry = self._store_buffer.get(addr)
+            if entry is not None and entry[0] == wid:
+                del self._store_buffer[addr]
 
     # -- convenience span operations (CPU, cached) -------------------------------
 
@@ -466,14 +479,6 @@ class HostMemorySystem:
             return self._route_cached(addr)[3].store_latency()
         return self.timings.ddr5_store_ns
 
-    def _delayed_line_write(self, addr: int, data: bytes, delay: float):
-        yield self.sim.timeout(delay)
-        try:
-            self._medium_write_line(addr, data)
-        except LinkDownError:
-            # Dirty eviction racing a device crash: drop, count.
-            self.stores_dropped += 1
-
     def _handle_evictions(self, evicted: list[tuple[int, bytes]]) -> None:
         # Dirty evictions write back asynchronously (like a real WB cache).
         for addr, data in evicted:
@@ -485,10 +490,111 @@ class HostMemorySystem:
                 # that triggered the eviction.
                 self.stores_dropped += 1
                 continue
-            self.sim.spawn(
-                self._delayed_line_write(addr, data, delay),
-                name=f"evict-wb:{self.host_id}:{addr:#x}",
-            )
+            self.sim.timeout(delay, (addr, data, None)).add_callback(
+                self._land)
 
     def __repr__(self) -> str:
         return f"<HostMemorySystem {self.host_id}>"
+
+
+class PollPark:
+    """Where a busy-poller of one uncached line waits between polls.
+
+    A completion-queue collector polls one line on a fixed grid: a poll
+    issued at ``t`` samples the line, completes at ``t + L`` (``L =
+    cpu_issue_ns`` plus the line's load latency) and, when it finds
+    nothing, the next poll issues at ``(t + L) + poll_ns``.  Nearly every
+    poll finds nothing.  After such an empty poll, :meth:`wait` parks the
+    poller until something changes what its next poll would return:
+
+    * a write, clear or poison of the line on its memory device;
+    * a store this host commits to the line (its own polls see it);
+    * a line-op state change of the line's link (down, up, slow,
+      jitter; an MHD crash or repair reaches every link this way);
+    * :meth:`wake` from the poller's owner, for its own loop inputs.
+
+    It then resumes on the grid point the loop would have reached, with
+    the same chained float additions, and credits the skipped polls to
+    the link's ``line_ops``/``bytes_read``.  A change landing exactly on
+    a grid point counts that point as already polled, so the poller
+    re-polls at the next one.  A jittered link keeps polling: every poll
+    draws from its jitter stream.  A poll over a down link or to a
+    failed MHD counts as empty and takes no time.
+    """
+
+    def __init__(self, memsys: HostMemorySystem):
+        self.memsys = memsys
+        self._event = None
+        self._watching: list[tuple[dict, int]] = []
+
+    def wake(self) -> None:
+        """End the park, if any: the poller resumes on its grid."""
+        event = self._event
+        if event is None:
+            return
+        self._event = None
+        for parked, key in self._watching:
+            parks = parked[key]
+            parks.remove(self)
+            if not parks:
+                del parked[key]
+        self._watching = []
+        event.succeed()
+
+    def wait(self, addr: int, seen: bytes | None, poll_ns: float):
+        """Process: sleep from an empty poll to the next poll worth making.
+
+        Call right after the uncached poll of ``addr`` returned ``seen``
+        (None if it raised :class:`LinkDownError`).  Returns at that next
+        poll's issue instant; the caller polls again.
+        """
+        memsys = self.memsys
+        sim = memsys.sim
+        due = sim.now + poll_ns
+        base = addr - addr % CACHELINE_BYTES
+        if memsys._is_pool(base):
+            mhd, media, shift, link = memsys._route_cached(base)
+            load_ns = link.timings.cxl_load_ns * link.slow_factor
+        else:
+            mhd, media, shift, link = None, memsys.port.local_dram, 0, None
+            load_ns = memsys.timings.ddr5_load_ns
+        # What a poll issued now would return, in load_line_uncached's
+        # order of checks but without its side effects (link counters,
+        # jitter draws, poison reads).
+        buffered = memsys._store_buffer.get(base)
+        if buffered is not None:
+            view = buffered[1]
+        elif mhd is not None and mhd.failed:
+            view = None
+        elif base + shift in media.poisoned_lines:
+            view = b""                      # the next poll raises
+        else:
+            view = media.read_line(base + shift)
+        if view and link is not None and not link.up:
+            view = None
+        if view and seen is not None:
+            view = view[addr - base:addr - base + len(seen)]
+        if view != seen or (link is not None and link.jittered):
+            # Landed while the empty poll was in flight, or unparkable.
+            yield sim.timeout(poll_ns)
+            return
+        step_ns = 0.0 if seen is None else (
+            memsys.timings.cpu_issue_ns + load_ns)
+        self._watching = [(media.parked, base + shift),
+                          (memsys.parked, base)]
+        if link is not None:
+            self._watching.append((link.parked, base))
+        for parked, key in self._watching:
+            parked.setdefault(key, []).append(self)
+        event = self._event = sim.event()
+        yield event
+        now = sim.now
+        skipped = 0
+        while due <= now:
+            skipped += 1
+            due = (due + step_ns) + poll_ns
+        if seen is not None and link is not None:
+            link.line_ops += skipped
+            link.bytes_read += CACHELINE_BYTES * skipped
+        # Exact (Sterbenz) once now >= the grid step: lands on ``due``.
+        yield sim.timeout(due - now)

@@ -20,6 +20,7 @@ import dataclasses
 
 from repro.channel.rpc import RpcError
 from repro.cxl.link import LinkDownError
+from repro.cxl.memsys import PollPark
 from repro.cxl.params import HEDGE_DEADLINE_NS, HEDGE_STREAK_LIMIT
 from repro.datapath.placement import BufferPlacement, DriverMemory
 from repro.datapath.proxy import (
@@ -106,6 +107,8 @@ class RemoteAcceleratorClient:
         self._pending: dict[int, _PendingJob] = {}
         self._order = 0
         self._collector = None
+        # Where the collector sleeps between completions.
+        self._cq_park = PollPark(memsys)
         self._watchdog_proc = None
         self._failing_over = None
         self._kick_pending = False
@@ -254,7 +257,7 @@ class RemoteAcceleratorClient:
                 # The caller observes this failure, so none of the batch
                 # is in flight: deregister or the daemons would idle.
                 for op in ops:
-                    self._pending.pop(op.index % (1 << 16), None)
+                    self._unjournal(op.index % (1 << 16))
                 if gen == self.generation:
                     if self._tail == first + len(jobs):
                         # No later reservation: unwind the whole batch
@@ -329,6 +332,7 @@ class RemoteAcceleratorClient:
             self.failovers += 1
             _obs.METRICS.counter(_names.VACCEL_FAILOVERS).inc()
             self.generation += 1
+            self._cq_park.wake()
             gen = self.generation
             yield from self._drain_cq()
             if new_handle is not None:
@@ -346,6 +350,7 @@ class RemoteAcceleratorClient:
                 self.n_entries * 4096, f"outputs.g{gen}")
             self._tail = 0
             self._cq_head = 0
+            self._cq_park.wake()    # the collector polls the new CQ now
             self._ring_written = set()
             self._ring_ready = 0
             self._kick_streak = 0
@@ -382,9 +387,11 @@ class RemoteAcceleratorClient:
         yield self.sim.timeout(2_000.0)
         while self._pending:
             expect = seq_for_pass(self._cq_head // self.n_entries)
-            addr = (self.cq_base
-                    + (self._cq_head % self.n_entries) * COMPLETION_BYTES)
-            raw = yield from self.mem.read(addr, COMPLETION_BYTES)
+            try:
+                raw = yield from self.mem.read(self._cq_addr(),
+                                               COMPLETION_BYTES)
+            except LinkDownError:
+                break  # unreadable now: the journal resubmits the rest
             entry = CompletionEntry.decode(raw)
             if entry.seq != expect:
                 break
@@ -458,7 +465,7 @@ class RemoteAcceleratorClient:
         except BaseException:
             # The caller observes this failure, so the job is not in
             # flight: deregister it or the daemons would idle forever.
-            self._pending.pop(index % (1 << 16), None)
+            self._unjournal(index % (1 << 16))
             raise
         self._ensure_daemons()
         t_device = self.sim.now
@@ -537,8 +544,21 @@ class RemoteAcceleratorClient:
                 self._watchdog(), name=f"{self.name}.watchdog",
             )
 
+    def _unjournal(self, key: int):
+        """Drop one journal entry; emptying the journal wakes a parked
+        collector so it exits on its poll grid."""
+        op = self._pending.pop(key, None)
+        if not self._pending:
+            self._cq_park.wake()
+        return op
+
+    def _cq_addr(self) -> int:
+        """Address of the CQ entry the collector expects next."""
+        return (self.cq_base
+                + (self._cq_head % self.n_entries) * COMPLETION_BYTES)
+
     def _complete(self, entry: CompletionEntry) -> None:
-        op = self._pending.pop(entry.index, None)
+        op = self._unjournal(entry.index)
         if op is not None and not op.waiter.triggered:
             self.ops_completed += 1
             self._kick_streak = 0
@@ -548,20 +568,28 @@ class RemoteAcceleratorClient:
             op.waiter.succeed(entry)
 
     def _collect(self, poll_ns: float = 1_000.0):
+        """Drain CQ entries and wake the matching waiters (parked
+        between completions, like ``RemoteSsdClient``'s collector)."""
         while self._pending:
             gen = self.generation
             expect = seq_for_pass(self._cq_head // self.n_entries)
-            addr = (self.cq_base
-                    + (self._cq_head % self.n_entries) * COMPLETION_BYTES)
-            raw = yield from self.mem.read(addr, COMPLETION_BYTES)
+            addr = self._cq_addr()
+            try:
+                raw = yield from self.mem.read(addr, COMPLETION_BYTES)
+            except LinkDownError:
+                raw = None
             if gen != self.generation:
                 continue
-            entry = CompletionEntry.decode(raw)
-            if entry.seq != expect:
+            if raw is not None:
+                entry = CompletionEntry.decode(raw)
+                if entry.seq == expect:
+                    self._cq_head += 1
+                    self._complete(entry)
+                    continue
+            if self._pending and addr == self._cq_addr():
+                yield from self._cq_park.wait(addr, raw, poll_ns)
+            else:
                 yield self.sim.timeout(poll_ns)
-                continue
-            self._cq_head += 1
-            self._complete(entry)
 
     def _watchdog(self, poll_ns: float = 10_000_000.0):
         while self._pending:

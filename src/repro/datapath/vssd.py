@@ -23,6 +23,7 @@ import dataclasses
 
 from repro.channel.rpc import RpcError
 from repro.cxl.link import LinkDownError
+from repro.cxl.memsys import PollPark
 from repro.cxl.params import HEDGE_DEADLINE_NS, HEDGE_STREAK_LIMIT
 from repro.datapath.placement import BufferPlacement, DriverMemory
 from repro.datapath.proxy import (
@@ -116,6 +117,8 @@ class RemoteSsdClient:
         self._pending: dict[int, _PendingOp] = {}
         self._order = 0
         self._collector = None
+        # Where the collector sleeps between completions.
+        self._cq_park = PollPark(memsys)
         self._watchdog_proc = None
         self._failing_over = None
         self._kick_pending = False
@@ -293,7 +296,7 @@ class RemoteSsdClient:
                 # The caller observes this failure, so none of the batch
                 # is in flight: deregister or the daemons would idle.
                 for op in ops:
-                    self._pending.pop(op.index % (1 << 16), None)
+                    self._unjournal(op.index % (1 << 16))
                     self._release_slot(op)
                 if batch_paced:
                     # Slots claimed for ios that never became ops.
@@ -431,6 +434,7 @@ class RemoteSsdClient:
             # Invalidate in-flight posts and the collector's view of the
             # old queues before anything else touches shared state.
             self.generation += 1
+            self._cq_park.wake()
             gen = self.generation
             yield from self._drain_cq()
             if new_handle is not None:
@@ -446,6 +450,7 @@ class RemoteSsdClient:
                 self.n_entries * self.max_io_bytes, f"buffers.g{gen}")
             self._tail = 0
             self._cq_head = 0
+            self._cq_park.wake()    # the collector polls the new CQ now
             self._sq_written = set()
             self._sq_ready = 0
             self._kick_streak = 0
@@ -486,9 +491,11 @@ class RemoteSsdClient:
         yield self.sim.timeout(2_000.0)  # let in-flight CQ writes land
         while self._pending:
             expect = seq_for_pass(self._cq_head // self.n_entries)
-            addr = (self.cq_base
-                    + (self._cq_head % self.n_entries) * COMPLETION_BYTES)
-            raw = yield from self.mem.read(addr, COMPLETION_BYTES)
+            try:
+                raw = yield from self.mem.read(self._cq_addr(),
+                                               COMPLETION_BYTES)
+            except LinkDownError:
+                break  # unreadable now: the journal resubmits the rest
             entry = CompletionEntry.decode(raw)
             if entry.seq != expect:
                 break
@@ -601,7 +608,7 @@ class RemoteSsdClient:
             # RetryBudgetExhausted) exactly like transport errors: a
             # budget-denied post must de-journal its op id, or failover
             # would replay an op whose caller already saw it fail.
-            self._pending.pop(index % (1 << 16), None)
+            self._unjournal(index % (1 << 16))
             self._release_slot(op)
             raise
         self._ensure_daemons()
@@ -704,8 +711,21 @@ class RemoteSsdClient:
                 self._watchdog(), name=f"{self.name}.watchdog",
             )
 
+    def _unjournal(self, key: int):
+        """Drop one journal entry; emptying the journal wakes a parked
+        collector so it exits on its poll grid."""
+        op = self._pending.pop(key, None)
+        if not self._pending:
+            self._cq_park.wake()
+        return op
+
+    def _cq_addr(self) -> int:
+        """Address of the CQ entry the collector expects next."""
+        return (self.cq_base
+                + (self._cq_head % self.n_entries) * COMPLETION_BYTES)
+
     def _complete(self, entry: CompletionEntry) -> None:
-        op = self._pending.pop(entry.index, None)
+        op = self._unjournal(entry.index)
         if op is not None and not op.waiter.triggered:
             self.ops_completed += 1
             self._kick_streak = 0
@@ -722,22 +742,31 @@ class RemoteSsdClient:
     def _collect_completions(self, poll_ns: float = 2_000.0):
         """Drain CQ entries and wake the matching waiters.
 
-        Runs only while commands are outstanding, then exits.
+        Runs only while commands are outstanding, then exits.  Polls the
+        CQ every ``poll_ns`` after an empty poll, parked in between
+        (:class:`PollPark`); a poll over a down link counts as empty.
         """
         while self._pending:
             gen = self.generation
             expect = seq_for_pass(self._cq_head // self.n_entries)
-            addr = (self.cq_base
-                    + (self._cq_head % self.n_entries) * COMPLETION_BYTES)
-            raw = yield from self.mem.read(addr, COMPLETION_BYTES)
+            addr = self._cq_addr()
+            try:
+                raw = yield from self.mem.read(addr, COMPLETION_BYTES)
+            except LinkDownError:
+                raw = None
             if gen != self.generation:
                 continue  # failover swapped the queues under this read
-            entry = CompletionEntry.decode(raw)
-            if entry.seq != expect:
+            if raw is not None:
+                entry = CompletionEntry.decode(raw)
+                if entry.seq == expect:
+                    self._cq_head += 1
+                    self._complete(entry)
+                    continue
+            if self._pending and addr == self._cq_addr():
+                yield from self._cq_park.wait(addr, raw, poll_ns)
+            else:
+                # The journal or the queues changed under the read.
                 yield self.sim.timeout(poll_ns)
-                continue
-            self._cq_head += 1
-            self._complete(entry)
 
     def _watchdog(self, poll_ns: float = 10_000_000.0):
         """Process: detect a dead owner by stalled completions.
