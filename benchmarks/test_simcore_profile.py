@@ -1,7 +1,8 @@
 """SIMCORE — simulator-core throughput gate for the speed overhaul.
 
-ROADMAP item 2 rebuilt the simulator hot loop (hashed timer wheel,
-poll elision, memoized slot encode, parallel matrix cells).  This bench
+ROADMAP item 2 rebuilt the simulator hot loop (a leaner event loop,
+poll elision, memoized slot encode, parallel matrix cells; the kernel
+is now one ``(time, seq)`` binary heap).  This bench
 is the gate: it measures **unprofiled** events per wall-second via the
 kernel's cheap ``events_processed`` counter — the profiler roughly
 doubles per-event cost, so the headline no longer pays for its own

@@ -232,15 +232,14 @@ class HostMemorySystem:
 
     def _commit_nt(self, addr: int, data: bytes) -> None:
         """Enter ``data`` into the store buffer and schedule visibility."""
+        delay = self._store_latency(addr)  # LinkDownError leaves no entry
         self._store_wid += 1
         wid = self._store_wid
         self._store_buffer[addr] = (wid, data)
         if self.parked:
             # This host's own polls of ``addr`` now see the new entry.
             wake_parked(self.parked, addr)
-        self.sim.timeout(
-            self._store_latency(addr), (addr, data, wid)
-        ).add_callback(self._land)
+        self.sim.timeout(delay, (addr, data, wid)).add_callback(self._land)
 
     def _land(self, event) -> None:
         """Callback: a posted line write (NT store, flush or dirty

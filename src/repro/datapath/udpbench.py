@@ -63,6 +63,8 @@ class UdpBenchPoint:
     rtt_mean_ns: float
     completed: int
     offered_requests: int
+    #: Every completed request's RTT, in completion order.
+    rtts_ns: list[float] = field(default_factory=list, repr=False)
 
     @property
     def saturated(self) -> bool:
@@ -165,6 +167,7 @@ def run_udp_point(config: UdpBenchConfig,
         rtt_mean_ns=float(arr.mean()),
         completed=completed,
         offered_requests=config.n_requests,
+        rtts_ns=rtts,
     )
     server.stop()
     client.stop()

@@ -358,6 +358,7 @@ class RemoteAcceleratorClient:
             yield from self._setup_with_retry()
             jobs = sorted(self._pending.values(), key=lambda op: op.order)
             self._pending = {}
+            unreachable = None
             for op in jobs:
                 index = self._tail
                 self._tail += 1
@@ -366,8 +367,17 @@ class RemoteAcceleratorClient:
                 op.out_addr = (self.out_base
                                + (index % self.n_entries) * 4096)
                 self._pending[index % (1 << 16)] = op
-                yield from self._post(index, op.desc,
-                                      parent=op.span or span)
+                if unreachable is not None:
+                    continue
+                try:
+                    yield from self._post(index, op.desc,
+                                          parent=op.span or span)
+                except LinkDownError as exc:
+                    # This host cannot reach the new ring: journal the
+                    # rest unposted; the watchdog retries the failover.
+                    unreachable = exc
+            if unreachable is not None:
+                raise unreachable
             self.resubmitted += len(jobs)
             if jobs:
                 _obs.METRICS.counter(_names.VACCEL_RESUBMITTED).inc(len(jobs))
@@ -642,5 +652,5 @@ class RemoteAcceleratorClient:
                 )
             try:
                 yield from self.failover()
-            except RuntimeError:
-                continue
+            except (RuntimeError, LinkDownError):
+                continue  # owner or new queues unreachable; retry next tick

@@ -458,14 +458,24 @@ class RemoteSsdClient:
             yield from self._setup_with_retry()
             ops = sorted(self._pending.values(), key=lambda op: op.order)
             self._pending = {}
+            unreachable = None
             for op in ops:
                 index = self._tail
                 self._tail += 1
                 op.index = index
                 op.submitted_ns = self.sim.now
                 self._pending[index % (1 << 16)] = op
-                yield from self._post(index, op.cmd,
-                                      parent=op.span or span)
+                if unreachable is not None:
+                    continue
+                try:
+                    yield from self._post(index, op.cmd,
+                                          parent=op.span or span)
+                except LinkDownError as exc:
+                    # This host cannot reach the new SQ: journal the
+                    # rest unposted; the watchdog retries the failover.
+                    unreachable = exc
+            if unreachable is not None:
+                raise unreachable
             self.resubmitted += len(ops)
             if ops:
                 _obs.METRICS.counter(_names.VSSD_RESUBMITTED).inc(len(ops))
@@ -833,5 +843,5 @@ class RemoteSsdClient:
                 )
             try:
                 yield from self.failover()
-            except RuntimeError:
-                continue  # owner not resolvable yet; retry next tick
+            except (RuntimeError, LinkDownError):
+                continue  # owner or new queues unreachable; retry next tick

@@ -13,6 +13,7 @@ import pytest
 
 from repro.cxl.address import CACHELINE_BYTES, line_range
 from repro.cxl.cache import CpuCache
+from repro.cxl.link import LinkDownError
 from repro.cxl.params import DEFAULT_TIMINGS
 from repro.cxl.pod import POOL_BASE, CxlPod, PodConfig
 from repro.sim import Simulator
@@ -90,6 +91,21 @@ def test_nt_store_visible_to_other_host(pod):
     p = sim.spawn(reader(h1))
     sim.run()
     assert p.value == LINE_A
+
+
+def test_nt_store_over_a_down_link_leaves_no_store_buffer_entry(pod):
+    """A store that raises never landed, so the host must not forward
+    it: after restore its own uncached load sees the device's line."""
+    sim, pod = pod
+    h1 = pod.host("h1")
+    link = pod.mhds[pod.route(POOL_BASE)[0]].link_of("h1")
+    link.fail()
+    store = sim.spawn(h1.store_line_nt(POOL_BASE, b"\x07" * 64))
+    with pytest.raises(LinkDownError):
+        sim.run(until=store)
+    link.restore()
+    assert not h1._store_buffer
+    assert run(sim, h1.load_line_uncached(POOL_BASE)) == bytes(64)
 
 
 def test_temporal_store_invisible_to_other_host_stale_hazard(pod):

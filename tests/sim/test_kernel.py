@@ -1,6 +1,8 @@
 """Unit tests for the simulation kernel: clock, scheduling, run loop."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.sim import Event, SimError, Simulator
 from repro.sim.errors import DeadSimulationError
@@ -141,3 +143,75 @@ def test_fail_requires_exception_instance():
     ev = sim.event()
     with pytest.raises(TypeError):
         ev.fail("not an exception")
+
+
+# -- pop order against a sorting oracle: same float additions as the
+# kernel, sorted by (time, schedule order).
+
+
+def pop_trace(delays, wakes=()):
+    """A waiter per delay, plus parked waiters that a driver wakes
+    mid-run with ``succeed(delay=...)``; returns the (time, waiter)
+    order in which they resume."""
+    sim = Simulator(seed=4)
+    trace = []
+
+    def waiter(idx, event):
+        yield event
+        trace.append((sim.now, idx))
+
+    for idx, delay in enumerate(delays):
+        sim.spawn(waiter(idx, sim.timeout(delay)))
+    parked = [sim.event() for _ in wakes]
+    for idx, event in enumerate(parked):
+        sim.spawn(waiter(-1 - idx, event))
+
+    def driver():
+        for pick, early, delay in wakes:
+            yield sim.timeout(early)
+            event = parked[pick % len(parked)]
+            if not event.triggered:
+                event.succeed(delay=delay)
+
+    sim.spawn(driver())
+    sim.run()
+    return trace
+
+
+def oracle_trace(delays, wakes=()):
+    entries = [(0.0 + delay, idx, idx) for idx, delay in enumerate(delays)]
+    now, woken = 0.0, set()
+    for pick, early, delay in wakes:
+        now += early
+        idx = pick % len(wakes)
+        if idx not in woken:
+            woken.add(idx)
+            entries.append((now + delay, len(entries), -1 - idx))
+    return [(when, idx) for when, _order, idx in sorted(entries)]
+
+
+TIES = st.sampled_from([0.0, 64.0, 128.0, 128.0, 4096.0])
+NEAR = st.floats(min_value=0.0, max_value=1e5)
+#: Lease renewals and op deadlines, up to 100 s out.
+FAR = st.floats(min_value=1e6, max_value=1e11)
+
+
+@settings(max_examples=60, deadline=None)
+@given(delays=st.lists(st.one_of(TIES, NEAR, FAR), min_size=1, max_size=24))
+def test_property_pop_order_is_time_then_schedule_order(delays):
+    assert pop_trace(delays) == oracle_trace(delays)
+
+
+@settings(max_examples=40, deadline=None)
+@given(delays=st.lists(st.one_of(TIES, NEAR), min_size=2, max_size=12),
+       wakes=st.lists(st.tuples(st.integers(0, 11), st.one_of(TIES, NEAR),
+                                st.sampled_from([0.0, 0.0, 64.0, 1e9])),
+                      min_size=1, max_size=6))
+def test_property_mid_run_succeed_keeps_pop_order(delays, wakes):
+    """A pending event succeeded mid-run (how a publish wakes a parked
+    dispatcher) takes its place in (time, schedule order)."""
+    assert pop_trace(delays, wakes) == oracle_trace(delays, wakes)
+
+
+def test_sixteen_way_same_instant_ties_pop_in_schedule_order():
+    assert pop_trace([500.0] * 16) == [(500.0, idx) for idx in range(16)]
